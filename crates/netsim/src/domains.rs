@@ -44,8 +44,7 @@ pub struct DomainPlan {
 
 /// Resolves the requested domain count from the `TFMCC_DOMAINS` environment
 /// variable.  Unset, empty, `1`, or unparsable values mean 1 (the
-/// single-threaded path); unparsable values additionally warn on stderr,
-/// mirroring `TFMCC_SCHEDULER` resolution.
+/// single-threaded path); unparsable values additionally warn on stderr.
 pub fn domains_from_env() -> usize {
     match std::env::var("TFMCC_DOMAINS") {
         Ok(value) => {

@@ -1,17 +1,15 @@
 //! The discrete-event simulator core: world state, the [`Agent`] trait
 //! protocol endpoints implement, and the [`Context`] handed to agents for
 //! interacting with the simulated network.  The event queue itself lives in
-//! [`crate::events`] behind the [`EventQueue`] abstraction; this module
-//! drives it and owns the timer table that makes cancellation O(1) and
-//! bounded.
+//! [`crate::events`] ([`HeapQueue`]); this module drives it and owns the
+//! timer table that keeps cancellation bounded.
 //!
 //! # Structure
 //!
 //! The [`Simulator`] owns two halves:
 //!
-//! * the [`World`]: event queue (heap or calendar, see [`SchedulerKind`]),
-//!   nodes, links, routing, multicast state, statistics and the RNG used
-//!   for link loss / RED;
+//! * the [`World`]: event queue, nodes, links, routing, multicast state,
+//!   statistics and the RNG used for link loss / RED;
 //! * the agents: boxed [`Agent`] trait objects attached to `(node, port)`
 //!   addresses.
 //!
@@ -28,7 +26,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::domains::{domains_from_env, partition, DomainPlan};
-use crate::events::{EventQueue, SchedulerKind};
+use crate::events::HeapQueue;
 use crate::link::{Link, LinkAccept, LinkStats, LossModel};
 use crate::packet::{Address, AgentId, Dest, GroupId, LinkId, NodeId, Packet, Port};
 use crate::queue::QueueDiscipline;
@@ -259,8 +257,7 @@ struct Node {
 /// Everything in the simulation except the agents themselves.
 pub struct World {
     now: SimTime,
-    queue: Box<dyn EventQueue<EventKind>>,
-    scheduler: SchedulerKind,
+    queue: HeapQueue<EventKind>,
     seq: u64,
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -300,11 +297,10 @@ pub struct World {
 }
 
 impl World {
-    fn new(seed: u64, scheduler: SchedulerKind) -> Self {
+    fn new(seed: u64) -> Self {
         World {
             now: SimTime::ZERO,
-            queue: scheduler.build(),
-            scheduler,
+            queue: HeapQueue::new(),
             seq: 0,
             nodes: Vec::new(),
             links: Vec::new(),
@@ -687,10 +683,10 @@ impl Context<'_> {
     }
 
     /// Cancels a previously scheduled timer (no-op if it already fired or
-    /// was already cancelled).  The timer's queue entry is removed in place
-    /// (calendar scheduler) or tombstoned until it surfaces (heap
-    /// scheduler); either way cancellation state stays bounded by the number
-    /// of outstanding timers, even across unbounded churn.
+    /// was already cancelled).  The timer's queue entry is tombstoned until
+    /// it surfaces at the head of the queue, so cancellation state stays
+    /// bounded by the number of outstanding timers, even across unbounded
+    /// churn.
     pub fn cancel(&mut self, timer: TimerId) {
         if let Some((time, seq)) = self.world.pending_timers.remove(&timer.0) {
             self.world.queue.cancel(time, seq);
@@ -759,14 +755,14 @@ const _: fn() = || {
 /// diagnostics (see [`Simulator::scheduler_diagnostics`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerDiagnostics {
-    /// Which scheduler implementation is active.
-    pub scheduler: SchedulerKind,
+    /// Names the event queue implementation; always `"binary-heap"`.
+    pub scheduler: &'static str,
     /// Live (scheduled, not yet dispatched or cancelled) events.
     pub queued_events: usize,
-    /// Cancelled entries still stored inside the queue (heap tombstones;
-    /// always 0 for the calendar scheduler).  Bounded by `queued_events` +
-    /// tombstones at all times — the unbounded-growth regression test pins
-    /// this.
+    /// Cancelled entries still stored inside the queue (tombstones, drained
+    /// as they surface).  Bounded by the number of cancelled timers whose
+    /// fire time has not yet been reached — the unbounded-growth regression
+    /// test pins this.
     pub queue_tombstones: usize,
     /// Timers scheduled and not yet fired or cancelled.
     pub pending_timers: usize,
@@ -775,23 +771,13 @@ pub struct SchedulerDiagnostics {
 impl Simulator {
     /// Creates an empty simulation with a deterministic RNG seed.
     ///
-    /// The event scheduler defaults to [`SchedulerKind::Heap`]; the
-    /// `TFMCC_SCHEDULER` environment variable (`heap` / `calendar`)
-    /// overrides the default so whole experiment runs can be switched
-    /// without code changes.  Use [`Simulator::with_scheduler`] to pin one
-    /// explicitly.
-    pub fn new(seed: u64) -> Self {
-        Self::with_scheduler(seed, SchedulerKind::resolve())
-    }
-
-    /// Creates an empty simulation with an explicit event scheduler,
-    /// ignoring the `TFMCC_SCHEDULER` environment variable.  The parallel
-    /// domain count still comes from `TFMCC_DOMAINS` (default 1) so the
-    /// whole test suite can be soaked under sharded execution; use
+    /// Events run on the binary-heap queue ([`HeapQueue`]).  The parallel
+    /// domain count comes from `TFMCC_DOMAINS` (default 1) so the whole
+    /// test suite can be soaked under sharded execution; use
     /// [`Simulator::with_domains`] or [`Simulator::set_domains`] to pin it.
-    pub fn with_scheduler(seed: u64, scheduler: SchedulerKind) -> Self {
+    pub fn new(seed: u64) -> Self {
         Simulator {
-            world: World::new(seed, scheduler),
+            world: World::new(seed),
             agents: Vec::new(),
             domains: domains_from_env(),
             last_domain_events: Vec::new(),
@@ -826,30 +812,10 @@ impl Simulator {
         &self.last_domain_events
     }
 
-    /// Switches the event scheduler, migrating any queued events.  Both
-    /// schedulers pop in identical `(time, seq)` order, so switching — even
-    /// mid-run — does not change the simulation's behaviour.
-    pub fn set_scheduler(&mut self, scheduler: SchedulerKind) {
-        if scheduler == self.world.scheduler {
-            return;
-        }
-        let mut queue = scheduler.build();
-        while let Some((time, seq, kind)) = self.world.queue.pop() {
-            queue.schedule(time, seq, kind);
-        }
-        self.world.queue = queue;
-        self.world.scheduler = scheduler;
-    }
-
-    /// The active event scheduler.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.world.scheduler
-    }
-
     /// Event-core bookkeeping counters, for tests and diagnostics.
     pub fn scheduler_diagnostics(&self) -> SchedulerDiagnostics {
         SchedulerDiagnostics {
-            scheduler: self.world.scheduler,
+            scheduler: "binary-heap",
             queued_events: self.world.queue.len(),
             queue_tombstones: self.world.queue.tombstones(),
             pending_timers: self.world.pending_timers.len(),
@@ -861,9 +827,9 @@ impl Simulator {
         self.world.now
     }
 
-    /// Number of events processed so far.  Cancelled timers are removed (or
-    /// tombstoned) inside the event queue and are never dispatched, so they
-    /// do not count.
+    /// Number of events processed so far.  Cancelled timers are tombstoned
+    /// inside the event queue and are never dispatched, so they do not
+    /// count.
     pub fn events_processed(&self) -> u64 {
         self.world.events_processed
     }
@@ -1059,11 +1025,7 @@ impl Simulator {
             return;
         }
         self.last_domain_events.clear();
-        while let Some(head_time) = self.world.queue.peek_time() {
-            if head_time > until {
-                break;
-            }
-            let (time, _seq, kind) = self.world.queue.pop().expect("peeked event exists");
+        while let Some((time, _seq, kind)) = self.world.queue.pop_due(until) {
             debug_assert!(
                 time >= self.world.now,
                 "event queue popped backward in time: {time} after {}",
@@ -1357,7 +1319,7 @@ impl Simulator {
         let n_agents = self.agents.len();
         let mut shards: Vec<Simulator> = (0..k)
             .map(|d| {
-                let mut w = World::new(self.world.seed, self.world.scheduler);
+                let mut w = World::new(self.world.seed);
                 w.now = self.world.now;
                 w.seq = self.world.seq.max(SHARD_LOCAL_SEQ_BASE);
                 w.id_stride = k as u64;
@@ -1567,7 +1529,7 @@ fn run_sharded_windows(
         // order — and therefore the fresh local sequence numbers —
         // deterministic for any stage interleaving; the offer times may lie
         // behind the shard's clock (see [`EventKind::LinkIngress`]), which
-        // both queue implementations accept.
+        // the queue accepts.
         std::thread::scope(|scope| {
             let mut busy = inboxes
                 .iter_mut()
@@ -2185,54 +2147,6 @@ mod tests {
         assert_eq!(plain_stats, extra_stats);
     }
 
-    /// The heap and calendar schedulers must produce byte-identical RED and
-    /// CoDel drop sequences — the scheduler-equivalence contract extended to
-    /// the AQM disciplines.
-    #[test]
-    fn aqm_drop_sequences_are_scheduler_invariant() {
-        let run = |kind: SchedulerKind, discipline: QueueDiscipline| {
-            let mut sim = Simulator::with_scheduler(7, kind);
-            let a = sim.add_node("a");
-            let b = sim.add_node("b");
-            let (ab, _) = sim.add_duplex_link(a, b, 1e5, 0.003, discipline);
-            let sink_addr = Address::new(b, Port(1));
-            let sink = sim.add_agent(
-                b,
-                Port(1),
-                Box::new(Blaster::new(
-                    Dest::Unicast(Address::new(a, Port(9))),
-                    100,
-                    0,
-                    1.0,
-                )),
-            );
-            let _src = sim.add_agent(
-                a,
-                Port(1),
-                Box::new(Blaster::new(Dest::Unicast(sink_addr), 900, 400, 0.004)),
-            );
-            sim.run_until(SimTime::from_secs(8.0));
-            let log = sim.agent::<Blaster>(sink).unwrap().received.clone();
-            (log, sim.link_stats(ab), sim.events_processed())
-        };
-        for discipline in [
-            QueueDiscipline::red(8),
-            QueueDiscipline::red_gentle(8),
-            QueueDiscipline::codel(8),
-        ] {
-            let heap = run(SchedulerKind::Heap, discipline.clone());
-            let calendar = run(SchedulerKind::Calendar, discipline.clone());
-            assert!(
-                heap.1.dropped_queue > 0,
-                "{discipline:?}: the workload must make the discipline drop"
-            );
-            assert_eq!(
-                heap, calendar,
-                "schedulers diverged on a {discipline:?} bottleneck"
-            );
-        }
-    }
-
     #[test]
     #[should_panic(expected = "bandwidth must be a positive")]
     fn zero_bandwidth_link_is_rejected() {
@@ -2428,111 +2342,34 @@ mod tests {
                 self
             }
         }
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut sim = Simulator::with_scheduler(11, kind);
-            let n = sim.add_node("n");
-            sim.add_agent(
-                n,
-                Port(1),
-                Box::new(ChurnAgent {
-                    live: None,
-                    fired: TimerId(u64::MAX),
-                    cycles: 0,
-                }),
-            );
-            sim.run_until(SimTime::from_secs(60.0));
-            let diag = sim.scheduler_diagnostics();
-            assert_eq!(diag.scheduler, kind);
-            // 10 000 churn cycles with 20 000 cancels: the only surviving
-            // state is the one decoy timer still pending (plus, on the heap,
-            // its at-most-one drained-on-pop tombstone window).
-            assert_eq!(diag.pending_timers, 1, "{kind:?}");
-            assert!(
-                diag.queued_events <= 2,
-                "{kind:?}: queue grew to {} events",
-                diag.queued_events
-            );
-            assert!(
-                diag.queue_tombstones <= 1,
-                "{kind:?}: cancellation left {} tombstones behind",
-                diag.queue_tombstones
-            );
-        }
-    }
-
-    /// The calendar scheduler must reproduce the heap's behaviour exactly on
-    /// a full simulation (the cross-topology guarantee lives in the
-    /// `scheduler_equivalence` proptest; this is the cheap in-crate pin).
-    #[test]
-    fn schedulers_agree_on_a_full_simulation() {
-        let run = |kind: SchedulerKind| {
-            let mut sim = Simulator::with_scheduler(7, kind);
-            let a = sim.add_node("a");
-            let b = sim.add_node("b");
-            let (ab, _) = sim.add_duplex_link(a, b, 1e5, 0.003, QueueDiscipline::drop_tail(8));
-            sim.set_link_loss(ab, LossModel::Bernoulli { p: 0.1 });
-            let sink_addr = Address::new(b, Port(1));
-            let sink = sim.add_agent(
-                b,
-                Port(1),
-                Box::new(Blaster::new(
-                    Dest::Unicast(Address::new(a, Port(9))),
-                    100,
-                    0,
-                    1.0,
-                )),
-            );
-            let _src = sim.add_agent(
-                a,
-                Port(1),
-                Box::new(Blaster::new(Dest::Unicast(sink_addr), 900, 400, 0.004)),
-            );
-            sim.run_until(SimTime::from_secs(8.0));
-            let log = sim.agent::<Blaster>(sink).unwrap().received.clone();
-            (log, sim.events_processed())
-        };
-        let heap = run(SchedulerKind::Heap);
-        let calendar = run(SchedulerKind::Calendar);
-        assert_eq!(heap, calendar, "schedulers diverged on a lossy workload");
-    }
-
-    /// Switching schedulers mid-run migrates the queue without perturbing
-    /// the simulation.
-    #[test]
-    fn mid_run_scheduler_switch_is_transparent() {
-        let run = |switch: bool| {
-            let mut sim = Simulator::with_scheduler(21, SchedulerKind::Heap);
-            let (s, r) = {
-                let s = sim.add_node("s");
-                let r = sim.add_node("r");
-                sim.add_duplex_link(s, r, 1e6, 0.002, QueueDiscipline::drop_tail(20));
-                (s, r)
-            };
-            let sink_addr = Address::new(r, Port(1));
-            let sink = sim.add_agent(
-                r,
-                Port(1),
-                Box::new(Blaster::new(
-                    Dest::Unicast(Address::new(s, Port(9))),
-                    100,
-                    0,
-                    1.0,
-                )),
-            );
-            sim.add_agent(
-                s,
-                Port(1),
-                Box::new(Blaster::new(Dest::Unicast(sink_addr), 500, 200, 0.01)),
-            );
-            sim.run_until(SimTime::from_secs(1.0));
-            if switch {
-                sim.set_scheduler(SchedulerKind::Calendar);
-                assert_eq!(sim.scheduler(), SchedulerKind::Calendar);
-            }
-            sim.run_until(SimTime::from_secs(5.0));
-            sim.agent::<Blaster>(sink).unwrap().received.clone()
-        };
-        assert_eq!(run(false), run(true));
+        let mut sim = Simulator::new(11);
+        let n = sim.add_node("n");
+        sim.add_agent(
+            n,
+            Port(1),
+            Box::new(ChurnAgent {
+                live: None,
+                fired: TimerId(u64::MAX),
+                cycles: 0,
+            }),
+        );
+        sim.run_until(SimTime::from_secs(60.0));
+        let diag = sim.scheduler_diagnostics();
+        assert_eq!(diag.scheduler, "binary-heap");
+        // 10 000 churn cycles with 20 000 cancels: the only surviving
+        // state is the one decoy timer still pending (plus its at-most-one
+        // drained-on-pop tombstone window).
+        assert_eq!(diag.pending_timers, 1);
+        assert!(
+            diag.queued_events <= 2,
+            "queue grew to {} events",
+            diag.queued_events
+        );
+        assert!(
+            diag.queue_tombstones <= 1,
+            "cancellation left {} tombstones behind",
+            diag.queue_tombstones
+        );
     }
 
     #[test]

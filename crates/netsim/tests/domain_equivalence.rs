@@ -1,7 +1,7 @@
 //! Property test: a domain-sharded run (2 or 4 domains, worker threads,
 //! conservative lookahead windows) produces exactly the same simulation as
 //! the single-queue run, over randomized star and dumbbell topologies with
-//! loss, delay spread and membership churn — under both event schedulers.
+//! loss, delay spread and membership churn.
 //!
 //! This is the byte-identical-replay contract of `netsim::sim`'s parallel
 //! core: partitioning moves state and RNG streams into per-domain shards,
@@ -130,7 +130,6 @@ struct Outcome {
 #[allow(clippy::too_many_arguments)]
 fn run_scenario(
     shape: Shape,
-    scheduler: SchedulerKind,
     domains: usize,
     seed: u64,
     receivers: usize,
@@ -139,7 +138,7 @@ fn run_scenario(
     packet_count: u64,
     toggle_every_ms: u64,
 ) -> Outcome {
-    let mut sim = Simulator::with_scheduler(seed, scheduler);
+    let mut sim = Simulator::new(seed);
     sim.set_domains(domains);
     let group = GroupId(3);
     let mut ids = Vec::new();
@@ -252,7 +251,7 @@ fn run_scenario(
 }
 
 proptest! {
-    // Each case runs a topology shape under 2 schedulers × 3 domain counts
+    // Each case runs a topology shape under 3 domain counts
     // (case count comes from PROPTEST_CASES, default 64).
     #[test]
     fn sharded_runs_match_single_queue_bit_for_bit(
@@ -266,29 +265,23 @@ proptest! {
     ) {
         let shape = if star_shape { Shape::Star } else { Shape::Dumbbell };
         let churners = receivers * churn_fraction / 2;
-        for scheduler in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let single = run_scenario(
-                shape, scheduler, 1,
+        let single = run_scenario(
+            shape, 1,
+            seed, receivers, churners, loss_percent, packet_count, toggle_every_ms,
+        );
+        for domains in [2usize, 4] {
+            let sharded = run_scenario(
+                shape, domains,
                 seed, receivers, churners, loss_percent, packet_count, toggle_every_ms,
             );
-            for domains in [2usize, 4] {
-                let sharded = run_scenario(
-                    shape, scheduler, domains,
-                    seed, receivers, churners, loss_percent, packet_count, toggle_every_ms,
-                );
-                prop_assert_eq!(&single.logs, &sharded.logs,
-                    "delivery sequences diverged at {:?}/{:?} domains={}",
-                    shape, scheduler, domains);
-                prop_assert_eq!(single.delivered, sharded.delivered,
-                    "delivered link counts diverged at {:?}/{:?} domains={}",
-                    shape, scheduler, domains);
-                prop_assert_eq!(single.dropped, sharded.dropped,
-                    "drop counts diverged at {:?}/{:?} domains={}",
-                    shape, scheduler, domains);
-                prop_assert_eq!(single.digest, sharded.digest,
-                    "stats digests diverged at {:?}/{:?} domains={}",
-                    shape, scheduler, domains);
-            }
+            prop_assert_eq!(&single.logs, &sharded.logs,
+                "delivery sequences diverged at {:?} domains={}", shape, domains);
+            prop_assert_eq!(single.delivered, sharded.delivered,
+                "delivered link counts diverged at {:?} domains={}", shape, domains);
+            prop_assert_eq!(single.dropped, sharded.dropped,
+                "drop counts diverged at {:?} domains={}", shape, domains);
+            prop_assert_eq!(single.digest, sharded.digest,
+                "stats digests diverged at {:?} domains={}", shape, domains);
         }
     }
 }

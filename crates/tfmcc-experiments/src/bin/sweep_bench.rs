@@ -2,18 +2,17 @@
 //! executor thread counts and writes the timing trajectory as a
 //! `BENCH_*.json` artifact (what the CI bench-smoke job uploads).  It also
 //! runs the 10⁴-receiver fan-out microbench (zero-copy shared fan-out vs
-//! the seed's clone-based reference path), the event-core microbench
-//! (binary-heap vs calendar-queue scheduler on the 10⁵-event churn hold
-//! model), the feedback-aggregation microbench (scan-based reference vs
-//! ordered-index incremental sender bookkeeping up to 10⁵ receivers) and
+//! the seed's clone-based reference path), the feedback-aggregation
+//! microbench (scan-based reference vs ordered-index incremental sender
+//! bookkeeping up to 10⁵ receivers) and
 //! the hybrid population-tier bench (one TFMCC session at 10⁵ and 10⁶
 //! receivers with a packet-level CLR cohort and a fluid bulk, reporting
 //! wall time and live heap bytes per fluid receiver) and the
 //! domain-sharding bench (the 10⁴- and 10⁵-receiver CBR star at 1, 2 and
 //! 4 bottleneck domains, hard-gating on digest equality across domain
 //! counts), writing the timings as `BENCH_fanout.json`,
-//! `BENCH_events.json`, `BENCH_feedback.json`, `BENCH_hybrid.json` and
-//! `BENCH_parallel.json` next to the trajectory file.
+//! `BENCH_feedback.json`, `BENCH_hybrid.json` and `BENCH_parallel.json`
+//! next to the trajectory file.
 //!
 //! Usage: `sweep_bench [--quick | --paper] [--threads N] [--out FILE]`
 //!
@@ -29,8 +28,6 @@ use std::time::Instant;
 use netsim::prelude::*;
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_agents::session::TfmccSessionBuilder;
-use tfmcc_experiments::cli::export_scheduler_env;
-use tfmcc_experiments::event_bench::{measure_event_core, STANDARD_OPS, STANDARD_PENDING};
 use tfmcc_experiments::fanout_bench::{measure_fanout, STANDARD_RECEIVERS, STANDARD_SIM_SECS};
 use tfmcc_experiments::feedback_bench;
 use tfmcc_experiments::scale::Scale;
@@ -188,7 +185,6 @@ fn measure_parallel(receivers: usize, domains: usize, sim_secs: f64) -> Parallel
 
 fn main() {
     let args = RunnerArgs::parse();
-    export_scheduler_env(&args);
     let scale = Scale::resolve(args.quick);
     let max_threads = args.effective_threads();
     let out = args
@@ -291,73 +287,6 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("# wrote {}", fanout_out.display());
-
-    // The event-core microbench: the hold-model event-queue workload (one
-    // outstanding event per receiver, decoy-cancel churn) under both
-    // schedulers, as a trajectory over queue sizes up to the 10⁵-receiver
-    // point.  The 10⁵ point is the benchmark's defining size and runs at
-    // every scale; --quick only trims the operation count.
-    let event_ops = scale.pick(STANDARD_OPS / 5, STANDARD_OPS);
-    let mut event_trajectory = Vec::new();
-    let mut headline_speedup = 0.0;
-    for pending in [1_000usize, 10_000, STANDARD_PENDING] {
-        let m = measure_event_core(pending, event_ops);
-        eprintln!(
-            "# event core {pending} pending: heap {:.0} ev/s vs calendar {:.0} ev/s ({:.2}x)",
-            m.heap_events_per_sec(),
-            m.calendar_events_per_sec(),
-            m.speedup(),
-        );
-        if pending == STANDARD_PENDING {
-            headline_speedup = m.speedup();
-        }
-        event_trajectory.push(Json::Obj(vec![
-            ("pending_events".into(), Json::num(pending as f64)),
-            ("ops".into(), Json::num(m.ops as f64)),
-            ("heap_secs".into(), Json::num(m.heap_secs)),
-            ("calendar_secs".into(), Json::num(m.calendar_secs)),
-            (
-                "heap_events_per_sec".into(),
-                Json::num(m.heap_events_per_sec()),
-            ),
-            (
-                "calendar_events_per_sec".into(),
-                Json::num(m.calendar_events_per_sec()),
-            ),
-            ("speedup".into(), Json::num(m.speedup())),
-        ]));
-    }
-    // Keep the documented ≥1.5× claim from rotting silently: warn when the
-    // 10⁵ point lands under it, fail hard only on a catastrophic regression
-    // (the generous margin keeps loaded CI runners from flaking).
-    if headline_speedup < 1.5 {
-        eprintln!(
-            "warning: calendar-queue speedup {headline_speedup:.2}x at {STANDARD_PENDING} pending is below the documented 1.5x target"
-        );
-    }
-    if headline_speedup < 0.9 {
-        eprintln!(
-            "error: calendar queue slower than the heap at {STANDARD_PENDING} pending ({headline_speedup:.2}x < 0.9x)"
-        );
-        std::process::exit(1);
-    }
-    let events_doc = Json::Obj(vec![
-        ("name".into(), Json::str("event_core_microbench")),
-        ("trajectory".into(), Json::Arr(event_trajectory)),
-        (
-            "headline_pending".into(),
-            Json::num(STANDARD_PENDING as f64),
-        ),
-        ("headline_speedup".into(), Json::num(headline_speedup)),
-    ]);
-    let events_out = out.with_file_name("BENCH_events.json");
-    let mut events_body = events_doc.render();
-    events_body.push('\n');
-    if let Err(err) = std::fs::write(&events_out, events_body) {
-        eprintln!("error: cannot write {}: {err}", events_out.display());
-        std::process::exit(1);
-    }
-    eprintln!("# wrote {}", events_out.display());
 
     // The feedback-aggregation microbench: the sender-side feedback workload
     // (reports + data pacing + CLR elections) under the scan-based reference

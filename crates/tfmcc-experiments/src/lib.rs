@@ -28,7 +28,6 @@
 
 pub mod churn_figs;
 pub mod cli;
-pub mod event_bench;
 pub mod fairness_figs;
 pub mod fairness_matrix;
 pub mod fanout_bench;

@@ -26,13 +26,15 @@
 //!   O(log N) index maintenance instead of deferring O(N) scans to the
 //!   per-packet path.
 //!
-//! The implementation is selected per sender ([`TfmccSender::with_aggregator`])
-//! or process-wide through the `TFMCC_AGGREGATOR` environment variable; the
-//! default is the incremental path.  `feedback_microbench` /
-//! `BENCH_feedback.json` track the speedup (≥2× on the 10⁵-receiver feedback
-//! workload).
+//! [`TfmccSender::new`] always runs the incremental path; the reference
+//! path is reachable only through [`TfmccSender::with_aggregator`], as the
+//! oracle of the `aggregator_equivalence` test, the model checker's
+//! aggregator-agreement invariant and `feedback_microbench`.
+//! `feedback_microbench` / `BENCH_feedback.json` track the speedup (≥2× on
+//! the 10⁵-receiver feedback workload).
 //!
 //! [`TfmccSender::on_tick`]: crate::sender::TfmccSender::on_tick
+//! [`TfmccSender::new`]: crate::sender::TfmccSender::new
 //! [`TfmccSender::with_aggregator`]: crate::sender::TfmccSender::with_aggregator
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -42,39 +44,14 @@ use crate::packets::{ReceiverId, SuppressionEcho};
 use crate::step::{hash_f64, hash_opt_f64, StateFingerprint};
 
 /// Which feedback-aggregation implementation a sender uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregatorKind {
     /// The original scan-based bookkeeping (O(N) aggregate queries); kept as
     /// the executable specification the incremental path is tested against.
     Reference,
-    /// Ordered-index bookkeeping: O(1) aggregate queries, O(log N) updates.
-    #[default]
+    /// Ordered-index bookkeeping: O(1) aggregate queries, O(log N) updates;
+    /// what [`TfmccSender::new`](crate::sender::TfmccSender::new) uses.
     Incremental,
-}
-
-impl AggregatorKind {
-    /// Reads the `TFMCC_AGGREGATOR` environment override (`reference` or
-    /// `incremental`, case-insensitive).  Returns `None` when unset; unknown
-    /// values warn on stderr and are ignored.
-    pub fn from_env() -> Option<Self> {
-        let value = std::env::var("TFMCC_AGGREGATOR").ok()?;
-        match value.to_ascii_lowercase().as_str() {
-            "reference" => Some(AggregatorKind::Reference),
-            "incremental" => Some(AggregatorKind::Incremental),
-            other => {
-                eprintln!(
-                    "warning: ignoring unknown TFMCC_AGGREGATOR value '{other}' (use 'reference' or 'incremental')"
-                );
-                None
-            }
-        }
-    }
-
-    /// The kind to use: the `TFMCC_AGGREGATOR` environment override when set,
-    /// otherwise the default (incremental).
-    pub fn resolve() -> Self {
-        Self::from_env().unwrap_or_default()
-    }
 }
 
 /// What the sender knows about one receiver.

@@ -95,14 +95,13 @@ pub struct TfmccSender {
 }
 
 impl TfmccSender {
-    /// Creates a sender with the feedback aggregator selected by
-    /// [`AggregatorKind::resolve`] (the `TFMCC_AGGREGATOR` environment
-    /// variable, defaulting to the incremental implementation).
+    /// Creates a sender with the incremental feedback aggregator.
     pub fn new(config: TfmccConfig) -> Self {
-        Self::with_aggregator(config, AggregatorKind::resolve())
+        Self::with_aggregator(config, AggregatorKind::Incremental)
     }
 
-    /// Creates a sender with an explicit feedback-aggregation implementation.
+    /// Creates a sender with an explicit feedback-aggregation implementation
+    /// (the reference one serves as a test oracle).
     pub fn with_aggregator(config: TfmccConfig, aggregator: AggregatorKind) -> Self {
         config.validate().expect("invalid TFMCC configuration");
         let initial_rate = config.initial_rate();

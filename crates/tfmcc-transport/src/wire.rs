@@ -378,5 +378,39 @@ mod tests {
             let msg = WireMessage::Data(d);
             prop_assert_eq!(decode_message(&encode_message(&msg)).unwrap(), msg);
         }
+
+        /// Hostile input: arbitrary bytes (empty, truncated, random version
+        /// and type tags, random option flags) decode to `Ok` or `Err` and
+        /// never panic.  Half the cases get a valid version and a type tag
+        /// in 0..4 (two known, two unknown), so the parser also runs past
+        /// its header checks.
+        #[test]
+        fn decode_is_total_over_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..160),
+            valid_version in any::<bool>(),
+            tag in 0u8..4,
+        ) {
+            let mut datagram = bytes;
+            if valid_version && datagram.len() >= 2 {
+                datagram[0] = WIRE_VERSION;
+                datagram[1] = tag;
+            }
+            match decode_message(&datagram) {
+                Ok(msg) => {
+                    // The decoder read no more than it was given, and what
+                    // it produced encodes to something it accepts again.
+                    let reencoded = encode_message(&msg);
+                    prop_assert!(reencoded.len() <= datagram.len());
+                    prop_assert!(decode_message(&reencoded).is_ok());
+                }
+                Err(WireError::Truncated) => prop_assert!(
+                    datagram.len() < 2
+                        || (datagram[0] == WIRE_VERSION
+                            && matches!(datagram[1], TYPE_DATA | TYPE_FEEDBACK))
+                ),
+                Err(WireError::BadVersion(v)) => prop_assert_eq!(v, datagram[0]),
+                Err(WireError::BadType(t)) => prop_assert_eq!(t, datagram[1]),
+            }
+        }
     }
 }

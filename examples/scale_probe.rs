@@ -30,19 +30,12 @@
 //!
 //! ```text
 //! cargo run --release --example scale_probe -- [RECEIVERS] [shared|clone] [churn]
-//!     [heap|calendar] [sessions=K] [domains=K] [hybrid]
-//! cargo run --release --example scale_probe -- 100000 shared churn calendar
+//!     [sessions=K] [domains=K] [hybrid]
+//! cargo run --release --example scale_probe -- 100000 shared churn
 //! cargo run --release --example scale_probe -- 100000 sessions=4
 //! cargo run --release --example scale_probe -- 100000 domains=4
 //! cargo run --release --example scale_probe -- 1000000 hybrid
 //! ```
-//!
-//! The scheduler token (or the `TFMCC_SCHEDULER` environment variable)
-//! selects the event-queue implementation, so the heap and the calendar
-//! queue can be compared at 10⁵ receivers; both produce identical runs
-//! (see `netsim::events`), only the wall clock differs.  The
-//! `TFMCC_AGGREGATOR` environment variable likewise selects the sender's
-//! feedback aggregation (`incremental` by default) for the sessions mode.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
@@ -103,7 +96,6 @@ fn main() {
     let mut n: usize = 10_000;
     let mut mode = FanoutMode::Shared;
     let mut churn = false;
-    let mut scheduler = SchedulerKind::resolve();
     let mut sessions: usize = 0;
     let mut domains = domains_from_env();
     let mut hybrid = false;
@@ -112,8 +104,6 @@ fn main() {
             "shared" => mode = FanoutMode::Shared,
             "clone" => mode = FanoutMode::CloneReference,
             "churn" => churn = true,
-            "heap" => scheduler = SchedulerKind::Heap,
-            "calendar" => scheduler = SchedulerKind::Calendar,
             "hybrid" => hybrid = true,
             other => {
                 if let Some(k) = other.strip_prefix("sessions=") {
@@ -144,7 +134,7 @@ fn main() {
                     }
                     Err(_) => {
                         eprintln!(
-                            "error: unknown argument '{other}' (expected a receiver count, shared|clone, churn, heap|calendar, sessions=K, domains=K, hybrid)"
+                            "error: unknown argument '{other}' (expected a receiver count, shared|clone, churn, sessions=K, domains=K, hybrid)"
                         );
                         std::process::exit(2);
                     }
@@ -154,11 +144,11 @@ fn main() {
     }
 
     if hybrid {
-        probe_hybrid(n, scheduler, mode, domains);
+        probe_hybrid(n, mode, domains);
     } else if sessions > 0 {
-        probe_sessions(n, sessions, scheduler, mode, domains);
+        probe_sessions(n, sessions, mode, domains);
     } else {
-        probe_cbr(n, mode, churn, scheduler, domains);
+        probe_cbr(n, mode, churn, domains);
     }
 }
 
@@ -177,10 +167,10 @@ fn print_domain_report(sim: &Simulator, domains: usize) {
 }
 
 /// The original single-group probe: CBR traffic into N `GroupSink`s.
-fn probe_cbr(n: usize, mode: FanoutMode, churn: bool, scheduler: SchedulerKind, domains: usize) {
+fn probe_cbr(n: usize, mode: FanoutMode, churn: bool, domains: usize) {
     let heap0 = live_bytes();
     let t0 = Instant::now();
-    let mut sim = Simulator::with_scheduler(1, scheduler);
+    let mut sim = Simulator::new(1);
     sim.set_domains(domains.max(1));
     sim.set_fanout_mode(mode);
     let legs: Vec<StarLeg> = (0..n).map(|_| StarLeg::clean(125_000.0, 0.02)).collect();
@@ -220,7 +210,7 @@ fn probe_cbr(n: usize, mode: FanoutMode, churn: bool, scheduler: SchedulerKind, 
         .map(|&s| sim.agent::<GroupSink>(s).unwrap().packets())
         .sum();
     println!(
-        "n={n} mode={mode:?} scheduler={scheduler:?} churn={churn} build={built:?} run={ran:?} events={} delivered={delivered}",
+        "n={n} mode={mode:?} churn={churn} build={built:?} run={ran:?} events={} delivered={delivered}",
         sim.events_processed()
     );
     print_domain_report(&sim, domains);
@@ -235,10 +225,10 @@ fn probe_cbr(n: usize, mode: FanoutMode, churn: bool, scheduler: SchedulerKind, 
 
 /// The multi-session probe: K concurrent TFMCC sessions over one shared
 /// 8 Mbit/s bottleneck, splitting the N receivers between them.
-fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind, mode: FanoutMode, domains: usize) {
+fn probe_sessions(n: usize, k: usize, mode: FanoutMode, domains: usize) {
     let heap0 = live_bytes();
     let t0 = Instant::now();
-    let mut sim = Simulator::with_scheduler(1, scheduler);
+    let mut sim = Simulator::new(1);
     sim.set_domains(domains.max(1));
     sim.set_fanout_mode(mode);
     let left = sim.add_node("left");
@@ -293,7 +283,7 @@ fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind, mode: FanoutMode
 
     let report = manager.report(&sim, duration * 0.5, duration);
     println!(
-        "n={receivers} sessions={k} scheduler={scheduler:?} mode={mode:?} build={built:?} run={ran:?} events={}",
+        "n={receivers} sessions={k} mode={mode:?} build={built:?} run={ran:?} events={}",
         sim.events_processed()
     );
     print_domain_report(&sim, domains);
@@ -326,12 +316,12 @@ fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind, mode: FanoutMode
 /// a four-receiver cohort (the CLR candidates, on the lossiest legs) runs at
 /// packet level — the remaining `n - 4` are a fluid population whose
 /// feedback is computed analytically per round.
-fn probe_hybrid(n: usize, scheduler: SchedulerKind, mode: FanoutMode, domains: usize) {
+fn probe_hybrid(n: usize, mode: FanoutMode, domains: usize) {
     let cohort = 4.min(n);
     let fluid_count = (n - cohort).max(1) as u64;
     let heap0 = live_bytes();
     let t0 = Instant::now();
-    let mut sim = Simulator::with_scheduler(1, scheduler);
+    let mut sim = Simulator::new(1);
     sim.set_domains(domains.max(1));
     sim.set_fanout_mode(mode);
     let legs = vec![
@@ -367,7 +357,7 @@ fn probe_hybrid(n: usize, scheduler: SchedulerKind, mode: FanoutMode, domains: u
     let sender = session.sender_agent(&sim).protocol();
     let fluid = session.fluid_agent(&sim, 0);
     println!(
-        "n={n} hybrid cohort={cohort} fluid={fluid_count} scheduler={scheduler:?} mode={mode:?} build={built:?} run={ran:?} events={}",
+        "n={n} hybrid cohort={cohort} fluid={fluid_count} mode={mode:?} build={built:?} run={ran:?} events={}",
         sim.events_processed()
     );
     print_domain_report(&sim, domains);
